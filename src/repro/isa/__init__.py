@@ -17,6 +17,7 @@ from repro.isa.instructions import (
     CLASS_GROUPS,
     class_of_group,
 )
+from repro.isa.columns import ProgramColumns
 from repro.isa.program import (
     BranchBehavior,
     Instruction,
@@ -40,5 +41,6 @@ __all__ = [
     "Instruction",
     "MemoryAccess",
     "Program",
+    "ProgramColumns",
     "program_to_asm",
 ]

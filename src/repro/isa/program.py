@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.isa.columns import ProgramColumns, validate_program
 from repro.isa.instructions import InstrClass, InstructionDef, class_of_group
 from repro.isa.registers import Register
 
@@ -163,24 +164,10 @@ class Instruction:
         """Check operand counts and per-class attachments.
 
         Raises:
-            ValueError: if the instruction is malformed.
+            ValueError: if the instruction is malformed (see
+                :func:`~repro.isa.columns.validate_program`).
         """
-        if len(self.dests) != self.idef.num_dst:
-            raise ValueError(
-                f"{self.mnemonic}: expected {self.idef.num_dst} dests, "
-                f"got {len(self.dests)}"
-            )
-        if len(self.srcs) != self.idef.num_src:
-            raise ValueError(
-                f"{self.mnemonic}: expected {self.idef.num_src} srcs, "
-                f"got {len(self.srcs)}"
-            )
-        if self.idef.is_memory and self.memory is None:
-            raise ValueError(f"{self.mnemonic}: memory instruction lacks a stream")
-        if not self.idef.is_memory and self.memory is not None:
-            raise ValueError(f"{self.mnemonic}: non-memory instruction has a stream")
-        if self.idef.is_branch and self.branch is None:
-            raise ValueError(f"{self.mnemonic}: branch lacks a behaviour")
+        Program(body=[self]).validate()
 
 
 @dataclass
@@ -204,26 +191,21 @@ class Program:
         return iter(self.body)
 
     def validate(self) -> None:
-        """Validate every instruction in the body."""
-        if not self.body:
-            raise ValueError("program body is empty")
-        for instr in self.body:
-            instr.validate()
+        """Validate every instruction in the body.
+
+        Raises:
+            ValueError: on an empty body, or naming the first malformed
+                instruction (see :func:`~repro.isa.columns.validate_program`).
+        """
+        validate_program(self)
 
     def class_counts(self) -> dict[InstrClass, int]:
         """Static instruction count per microarchitectural class."""
-        counts: dict[InstrClass, int] = {}
-        for instr in self.body:
-            counts[instr.iclass] = counts.get(instr.iclass, 0) + 1
-        return counts
+        return ProgramColumns.lower(self).class_counts()
 
     def group_fractions(self) -> dict[str, float]:
         """Static distribution over reporting groups (sums to 1)."""
-        total = len(self.body)
-        fractions: dict[str, float] = {}
-        for instr in self.body:
-            fractions[instr.group] = fractions.get(instr.group, 0.0) + 1.0
-        return {g: c / total for g, c in fractions.items()}
+        return ProgramColumns.lower(self).group_fractions()
 
     def memory_instructions(self) -> list[Instruction]:
         """All loads and stores, in program order."""

@@ -53,7 +53,11 @@ GAUGES: dict[str, str] = {}
 SPANS: dict[str, str] = {
     "run": "one whole MicroGrad.run() (wall clock of the run scope)",
     "codegen": "knob configuration -> assembled program",
-    "trace.build": "trace expansion + dependency analysis (TraceArtifact)",
+    "trace.build": "TraceArtifact build: validation + static class "
+                   "counts (+ lowering when no columns are passed in); "
+                   "no expansion, no dependency analysis",
+    "trace.expand": "dynamic trace expansion at an artifact memo miss",
+    "trace.depgraph": "dependency critical path at an artifact memo miss",
     "sim.run_many": "one multi-config simulation sweep",
     "events.memory": "per-config memory event simulation",
     "events.branch": "per-config branch event simulation",

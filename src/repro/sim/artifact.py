@@ -32,13 +32,16 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from repro import obs
+from repro.isa.columns import BRANCH_ID, LOAD_ID, STORE_ID, ProgramColumns
 from repro.isa.instructions import InstrClass
 from repro.isa.program import Program
 from repro.sim import events
 from repro.sim.config import CoreConfig
 from repro.sim.depgraph import critical_path_per_iteration
-from repro.sim.trace import ExpandedTrace, expand
+from repro.sim.trace import BRANCH_DRAWS, ExpandedTrace, expand
 
 #: Upper bound on the adaptive warmup (loop iterations), keeping
 #: worst-case evaluation cost bounded.  Streams that cannot wrap within
@@ -60,7 +63,13 @@ MAX_MEASURE_ITERATIONS = 160
 #: and memoized stage-2 results are now keyed by the engine that
 #: produced them — v1 artifacts and result-cache entries must not be
 #: reused.
-TRACE_SCHEMA = "trace-artifact-v2"
+#:
+#: v3: artifacts carry their program's :class:`ProgramColumns`, and
+#: :func:`program_fingerprint` hashes those columns instead of a
+#: ``repr`` of every instruction, so every fingerprint changed.  Traces
+#: and metrics are bit-identical to v2; the bump keeps v2 pickles (which
+#: lack the columns) from ever loading.
+TRACE_SCHEMA = "trace-artifact-v3"
 
 
 def trace_schema_fingerprint() -> str:
@@ -68,55 +77,20 @@ def trace_schema_fingerprint() -> str:
     return hashlib.sha256(TRACE_SCHEMA.encode()).hexdigest()[:12]
 
 
-def program_fingerprint(program: Program) -> str:
+def program_fingerprint(program: Program | ProgramColumns) -> str:
     """Stable content hash of everything the simulator reads.
 
     Two programs with equal fingerprints expand to bit-identical traces
     and dependency graphs, so they can share one
-    :class:`TraceArtifact`.  The hash covers the full instruction stream
-    (operands, addresses, declarative memory/branch behaviour) plus the
-    metadata keys the timing model consumes.
+    :class:`TraceArtifact`.  The hash is :meth:`ProgramColumns.digest`:
+    one sha256 over every column (mnemonics, classes, latencies,
+    registers, immediates, PCs, the memory and branch parameter tables,
+    the base patterns) plus the metadata scalars the timing model reads
+    (entry address, code bytes, dependency distance, stream count).
     """
-    hasher = hashlib.sha256()
-    hasher.update(f"entry={program.entry_address};".encode())
-    meta = program.metadata
-    hasher.update(
-        (
-            f"code_bytes={meta.get('code_bytes')};"
-            f"dep={meta.get('dependency_distance')};"
-            f"streams={len(meta.get('memory_streams') or [])};"
-        ).encode()
-    )
-    for instr in program.body:
-        mem = instr.memory
-        mem_sig = (
-            (mem.stream_id, mem.base, mem.footprint, mem.stride,
-             mem.reuse_count, mem.reuse_period, mem.phase, mem.step)
-            if mem is not None
-            else None
-        )
-        br = instr.branch
-        br_sig = (
-            (br.pattern, br.random_ratio, br.seed, br.taken_bias)
-            if br is not None
-            else None
-        )
-        hasher.update(
-            repr(
-                (
-                    instr.idef.mnemonic,
-                    instr.idef.latency,
-                    instr.iclass.value,
-                    tuple(r.name for r in instr.dests),
-                    tuple(r.name for r in instr.srcs),
-                    instr.immediate,
-                    instr.address,
-                    mem_sig,
-                    br_sig,
-                )
-            ).encode()
-        )
-    return hasher.hexdigest()[:32]
+    columns = (program if isinstance(program, ProgramColumns)
+               else ProgramColumns.lower(program))
+    return columns.digest()[:32]
 
 
 @dataclass
@@ -130,6 +104,7 @@ class TraceArtifact:
     """
 
     program: Program
+    columns: ProgramColumns
     fingerprint: str
     instructions: int
     loop_size: int
@@ -165,10 +140,16 @@ class TraceArtifact:
         program: Program,
         instructions: int,
         fingerprint: str | None = None,
+        columns: ProgramColumns | None = None,
     ) -> "TraceArtifact":
-        """Characterize ``program`` once for the given budget."""
+        """Characterize ``program`` once for the given budget.
+
+        ``columns`` and ``fingerprint`` let a caller that already lowered
+        and hashed the program (:meth:`TraceArtifactCache.get_or_build`)
+        pass them in instead of recomputing them.
+        """
         with obs.span("trace.build"):
-            return cls._build(program, instructions, fingerprint)
+            return cls._build(program, instructions, fingerprint, columns)
 
     @classmethod
     def _build(
@@ -176,23 +157,28 @@ class TraceArtifact:
         program: Program,
         instructions: int,
         fingerprint: str | None,
+        columns: ProgramColumns | None,
     ) -> "TraceArtifact":
-        program.validate()
-        loop = len(program)
-        meta = program.metadata
+        if columns is None:
+            columns = ProgramColumns.lower(program)
+        columns.validate()
+        loop = len(columns)
+        histogram = columns.class_histogram()
+        static_counts = columns.class_counts(histogram)
         return cls(
             program=program,
-            fingerprint=fingerprint or program_fingerprint(program),
+            columns=columns,
+            fingerprint=fingerprint or program_fingerprint(columns),
             instructions=instructions,
             loop_size=loop,
             budget_iters=max(2, round(instructions / loop)),
-            mem_per_iter=len(program.memory_instructions()),
-            br_per_iter=len(program.branch_instructions()),
-            static_counts=program.class_counts(),
-            group_fractions=program.group_fractions(),
-            code_bytes=meta.get("code_bytes", loop * 4),
-            dependency_distance=float(meta.get("dependency_distance", 4)),
-            parallel_streams=max(1, len(meta.get("memory_streams") or [])),
+            mem_per_iter=int(histogram[LOAD_ID] + histogram[STORE_ID]),
+            br_per_iter=int(histogram[BRANCH_ID]),
+            static_counts=static_counts,
+            group_fractions=columns.group_fractions(static_counts),
+            code_bytes=columns.code_bytes,
+            dependency_distance=columns.dependency_distance,
+            parallel_streams=max(1, columns.stream_count),
         )
 
     # -- stage 1: program-derived, core-parameter-keyed ------------------
@@ -202,7 +188,9 @@ class TraceArtifact:
         key = (iterations, line_bytes)
         trace = self._traces.get(key)
         if trace is None:
-            trace = expand(self.program, iterations, line_bytes=line_bytes)
+            with obs.span("trace.expand"):
+                trace = expand(self.columns, iterations,
+                               line_bytes=line_bytes)
             self._traces[key] = trace
         return trace
 
@@ -211,19 +199,18 @@ class TraceArtifact:
         key = (core.l2.size_bytes,)
         wrap = self._wrap.get(key)
         if wrap is None:
-            wrap = 0
-            for instr in self.program.memory_instructions():
-                mem = instr.memory
-                if mem is None or mem.step <= 0:
-                    continue
-                # Footprints beyond ~1.2x the L2 stream cold or warm.
-                if mem.footprint > 1.2 * core.l2.size_bytes:
-                    continue
-                distinct_per_sweep = max(1, mem.footprint // mem.stride)
-                distinct_per_iter = max(1, mem.step // mem.reuse_period)
-                wrap = max(
-                    wrap, int(distinct_per_sweep / distinct_per_iter) + 1
-                )
+            _, stream = self.columns.memory_streams()
+            # Footprints beyond ~1.2x the L2 stream cold or warm.
+            keep = (stream["step"] > 0) & (
+                stream["footprint"] <= 1.2 * core.l2.size_bytes
+            )
+            kept = {name: column[keep] for name, column in stream.items()}
+            distinct_per_sweep = np.maximum(
+                1, kept["footprint"] // kept["stride"])
+            distinct_per_iter = np.maximum(
+                1, kept["step"] // kept["reuse_period"])
+            wraps = (distinct_per_sweep / distinct_per_iter).astype(np.int64)
+            wrap = int(wraps.max()) + 1 if len(wraps) else 0
             self._wrap[key] = wrap
         return wrap
 
@@ -263,7 +250,8 @@ class TraceArtifact:
         key = (core.l1d.latency,)
         dep = self._dep.get(key)
         if dep is None:
-            dep = critical_path_per_iteration(self.program, core)
+            with obs.span("trace.depgraph"):
+                dep = critical_path_per_iteration(self.columns, core)
             self._dep[key] = dep
         return dep
 
@@ -291,8 +279,8 @@ class TraceArtifact:
         )
         res = self._memory.get(key)
         if res is None:
+            trace = self.trace(iterations, core.l1d.line_bytes)
             with obs.span("events.memory"):
-                trace = self.trace(iterations, core.l1d.line_bytes)
                 res = events.simulate_memory(
                     core, trace, warmup_iters * self.mem_per_iter,
                     engine=engine,
@@ -317,8 +305,8 @@ class TraceArtifact:
         if res is None:
             # Branch outcomes are independent of the cache line size, so
             # any trace with the right window length serves.
+            trace = self.trace(iterations, core.l1d.line_bytes)
             with obs.span("events.branch"):
-                trace = self.trace(iterations, core.l1d.line_bytes)
                 res = events.simulate_branches(
                     core, trace, warmup_iters * self.br_per_iter,
                     engine=engine,
@@ -358,8 +346,8 @@ class TraceArtifact:
                     (iterations_list[i], core.l1d.line_bytes), []
                 ).append(i)
         for (iterations, line_bytes), slots in groups.items():
+            trace = self.trace(iterations, line_bytes)
             with obs.span("events.memory.batch"):
-                trace = self.trace(iterations, line_bytes)
                 batch = events.simulate_memory_batch(
                     [cores[i] for i in slots],
                     trace,
@@ -395,8 +383,8 @@ class TraceArtifact:
                     (iterations_list[i], core.l1d.line_bytes), []
                 ).append(i)
         for (iterations, line_bytes), slots in groups.items():
+            trace = self.trace(iterations, line_bytes)
             with obs.span("events.branch.batch"):
-                trace = self.trace(iterations, line_bytes)
                 batch = events.simulate_branches_batch(
                     [cores[i] for i in slots],
                     trace,
@@ -732,9 +720,13 @@ class TraceArtifactCache:
             return len(self._entries)
 
     def clear(self) -> None:
+        """Drop every cached artifact, and the process-wide branch draw
+        memo (:data:`repro.sim.trace.BRANCH_DRAWS`) with them, so the
+        next campaign starts with cold stage-1 state."""
         with self._lock:
             self._entries.clear()
             self._persisted.clear()
+        BRANCH_DRAWS.clear()
 
     def get_or_build(
         self, program: Program, instructions: int
@@ -743,9 +735,12 @@ class TraceArtifactCache:
 
         Misses consult the attached :class:`DiskArtifactStore` (when one
         is configured) before building, so sibling processes sharing a
-        store directory build each artifact once between them.
+        store directory build each artifact once between them.  The
+        program is lowered to :class:`ProgramColumns` once here: the
+        fingerprint hashes the columns, and a built artifact keeps them.
         """
-        key = (program_fingerprint(program), instructions)
+        columns = ProgramColumns.lower(program)
+        key = (program_fingerprint(columns), instructions)
         with self._lock:
             artifact = self._entries.get(key)
             if artifact is not None:
@@ -760,7 +755,8 @@ class TraceArtifactCache:
                     self._persisted[key] = artifact.memo_count()
             if artifact is None:
                 artifact = TraceArtifact.build(
-                    program, instructions, fingerprint=key[0]
+                    program, instructions, fingerprint=key[0],
+                    columns=columns,
                 )
             self._entries[key] = artifact
             while len(self._entries) > self.maxsize:

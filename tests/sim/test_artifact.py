@@ -23,14 +23,17 @@ from repro.sim import (
 )
 from repro.sim.artifact import TraceArtifact
 from repro.sim.config import CacheGeometry
-from repro.sim.depgraph import critical_path_per_iteration
 from repro.sim.events import (
     simulate_branches,
     simulate_icache,
     simulate_memory,
 )
 from repro.sim.interval import MissProfile, compute_cycles
-from repro.sim.trace import expand
+from tests.sim.stage1_reference import (
+    reference_class_counts,
+    reference_critical_path,
+    reference_expand,
+)
 
 KNOBS = dict(ADD=5, MUL=1, FADDD=1, FMULD=1, BEQ=1, BNE=1,
              LD=3, LW=1, SD=1, SW=1,
@@ -82,14 +85,17 @@ def straightline_reference(core, program, instructions, warmup_fraction=0.2):
     """The pre-pipeline ``Simulator.run`` data path, stage by stage,
     with no artifact, no memoization and no batching — pinned to the
     ``reference`` event engine so it stays the oracle for the default
-    (vectorized) engine."""
+    (vectorized) engine, and to the per-instruction stage-1 references
+    so it stays independent of the columnar trace and depgraph."""
     program.validate()
     loop = len(program)
     artifact = TraceArtifact.build(program, instructions)
     warmup_iters, measure_iters = artifact.schedule(core, warmup_fraction)
     iterations = warmup_iters + measure_iters
 
-    trace = expand(program, iterations, line_bytes=core.l1d.line_bytes)
+    trace = reference_expand(
+        program, iterations, line_bytes=core.l1d.line_bytes
+    )
     mem = simulate_memory(
         core, trace, warmup_iters * len(program.memory_instructions()),
         engine="reference",
@@ -103,13 +109,14 @@ def straightline_reference(core, program, instructions, warmup_fraction=0.2):
 
     total = loop * measure_iters
     class_counts = {
-        c: n * measure_iters for c, n in program.class_counts().items()
+        c: n * measure_iters
+        for c, n in reference_class_counts(program).items()
     }
     cycles = compute_cycles(
         core,
         total,
         class_counts,
-        critical_path_per_iteration(program, core),
+        reference_critical_path(program, core),
         loop,
         MissProfile(
             branch_mispredicts=mispredicts,
