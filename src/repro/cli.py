@@ -491,9 +491,9 @@ def build_parser() -> argparse.ArgumentParser:
                                           "connect (default 10)")
     worker.add_argument("--heartbeat", type=float, default=None,
                         metavar="S",
-                        help="ping interval proving liveness mid-job "
-                             "(default 2; 0 falls back to the v1 "
-                             "idle-polling protocol)")
+                        help="ping interval proving liveness mid-job, "
+                             "in seconds; must be > 0 (default 2; 0 is "
+                             "rejected)")
     worker.add_argument("--max-jobs", type=int, default=None, metavar="N",
                         help="exit after N jobs (default: run until "
                              "the coordinator shuts down)")

@@ -1,20 +1,22 @@
 """``DistributedBackend``: cluster execution as an ExecutionBackend.
 
 Selecting ``backend=dist`` gives every tuner and use case multi-host
-fan-out with zero call-site changes, in one of two modes:
+fan-out with zero call-site changes.  Batches always travel through one
+:class:`~repro.dist.client.ClientSession`; the two modes differ only in
+whose cluster that session joins:
 
 * **Owner mode** (no ``dist_addr``): the backend starts a private
-  :class:`~repro.dist.coordinator.Coordinator` inside the tuning
-  process on an ephemeral loopback port and keeps ``--dist-workers``
-  local worker processes alive through an elastic
-  :class:`~repro.dist.worker.WorkerPool` — a self-contained cluster
-  that lives and dies with this run.
+  :class:`~repro.dist.coordinator.Coordinator` on an ephemeral loopback
+  port, keeps ``--dist-workers`` local worker processes alive through
+  an elastic :class:`~repro.dist.worker.WorkerPool`, and opens its
+  session against that coordinator — a self-contained cluster that
+  lives and dies with this run.
 * **Client mode** (``dist_addr`` given): the address names an
   *external persistent* cluster (``repro.cli serve``); the backend
-  spawns and owns **nothing**.  It opens a
-  :class:`~repro.dist.client.ClientSession`, optionally prefetches the
-  newest local trace artifacts to the worker fleet, and submits its
-  batches into the shared fair scheduler alongside every other tenant.
+  spawns and owns **nothing**.  It opens its session there, optionally
+  prefetches the newest local trace artifacts to the worker fleet, and
+  submits its batches into the shared fair scheduler alongside every
+  other tenant.
 
 Either way the contract is the same as every other backend: ``map(fn,
 items)`` in, ordered results out, bit-identical to serial execution;
@@ -81,8 +83,10 @@ class DistributedBackend(CacheSettingsMixin):
             shared simulation pass.
         priority: fair-share weight of this client session (client
             mode; ``None`` = 1.0).
-        secret: shared secret for a secured coordinator (client mode;
-            defaults to ``$REPRO_DIST_SECRET``).
+        secret: shared secret (defaults to ``$REPRO_DIST_SECRET``).  In
+            client mode it answers the external coordinator's
+            challenge; in owner mode the private coordinator, its
+            workers and the session all hold it.
         session: session name shown in ``repro.cli status`` rows.
 
     If the host cannot bind sockets or spawn processes at all
@@ -129,7 +133,7 @@ class DistributedBackend(CacheSettingsMixin):
         self.lease_timeout = lease_timeout
         self.respawn_budget = respawn_budget
         self.priority = float(priority) if priority else 1.0
-        self.secret = secret or None
+        self.secret = secret or os.environ.get("REPRO_DIST_SECRET") or None
         self.session_name = session
         self.name = (
             f"dist[{self._jobs_floor}]" if addr is None
@@ -169,54 +173,63 @@ class DistributedBackend(CacheSettingsMixin):
 
     # -- lifecycle ------------------------------------------------------
 
-    def _ensure_started(self) -> Coordinator | None:
-        if self._broken:
-            return None
-        if self.coordinator is not None:
-            return self.coordinator
+    def _ensure_session(self) -> ClientSession | None:
+        """The session every batch goes through, opened once.
+
+        ``None`` means owner mode degraded to serial execution because
+        the host cannot bind sockets or spawn processes.
+        """
+        if self.client is None and not self._broken:
+            if self.client_mode:
+                self.client = self._open_external_session()
+                self._prefetch_recent(self.client)
+            else:
+                self.client = self._start_owned_cluster()
+        return self.client
+
+    def _start_owned_cluster(self) -> ClientSession | None:
+        """Owner mode: private coordinator + local workers + a session."""
         coordinator = Coordinator(
-            host="127.0.0.1", port=0,
+            host="127.0.0.1", port=0, secret=self.secret,
             **({} if self.lease_timeout is None
                else {"lease_timeout_s": self.lease_timeout}),
         )
+        self.coordinator = coordinator
         try:
             bound = coordinator.start()
-        except OSError:
+            if self.spawn_workers:
+                self.pool = WorkerPool(
+                    bound, self.spawn_workers,
+                    cache_dir=self.cache_dir,
+                    cache_max_entries=self.cache_max_entries,
+                    respawn_budget=self.respawn_budget,
+                    secret=self.secret,
+                )
+                self.pool.start()
+            return ClientSession(
+                bound, session=self.session_name, secret=self.secret,
+            ).start()
+        except (OSError, RuntimeError):
+            # OSError: cannot bind/connect.  PermissionError (an
+            # OSError): cannot spawn.  RuntimeError: the loopback
+            # session never came up.  Results are identical serially.
+            self.close()
             self._broken = True
             return None
-        if self.spawn_workers:
-            pool = WorkerPool(
-                bound, self.spawn_workers,
-                cache_dir=self.cache_dir,
-                cache_max_entries=self.cache_max_entries,
-                respawn_budget=self.respawn_budget,
-            )
-            try:
-                pool.start()
-            except (OSError, PermissionError):
-                coordinator.shutdown()
-                pool.stop()
-                self._broken = True
-                return None
-            self.pool = pool
-        self.coordinator = coordinator
-        return coordinator
 
-    def _ensure_client(self) -> ClientSession:
-        """Open (once) the session against the external cluster.
+    def _open_external_session(self) -> ClientSession:
+        """Client mode: join the external cluster, loudly.
 
-        Failures are loud: the user explicitly pointed ``dist_addr`` at
-        a persistent cluster, so an unreachable or rejecting
-        coordinator must never degrade to a silent local run.
+        The user explicitly pointed ``dist_addr`` at a persistent
+        cluster, so an unreachable or rejecting coordinator must never
+        degrade to a silent local run.
         """
-        if self.client is not None:
-            return self.client
         session = ClientSession(
             self.addr, session=self.session_name,
             priority=self.priority, secret=self.secret,
         )
         try:
-            session.start()
+            return session.start()
         except (OSError, RuntimeError) as exc:
             # OSError: TCP connect failed.  RuntimeError: the socket
             # opened but the session never came up (half-dead listener,
@@ -226,9 +239,6 @@ class DistributedBackend(CacheSettingsMixin):
                 f"start one with 'python -m repro.cli serve --addr "
                 f"{self.addr}'"
             ) from exc
-        self.client = session
-        self._prefetch_recent(session)
-        return session
 
     def _prefetch_recent(self, session: ClientSession) -> None:
         """Push the newest local artifacts before the first dispatch."""
@@ -287,40 +297,11 @@ class DistributedBackend(CacheSettingsMixin):
         items = list(items)
         if not items:
             return
-        if self.client_mode:
-            yield from self._client_stream(fn, items)
-            return
-        coordinator = self._ensure_started()
-        if coordinator is None:
+        session = self._ensure_session()
+        if session is None:
             for item in items:
                 yield fn(item)
             return
-        job_ids = [
-            coordinator.submit(dumps_payload((fn, item))) for item in items
-        ]
-        try:
-            landed: dict[int, tuple[str, object]] = {}
-            cursor = 0
-            for job_id, outcome in coordinator.as_completed(
-                job_ids, worker_grace=self.worker_grace
-            ):
-                landed[job_id] = outcome
-                while cursor < len(job_ids) and job_ids[cursor] in landed:
-                    status, value = landed.pop(job_ids[cursor])
-                    if status != "ok":
-                        raise RuntimeError(
-                            f"distributed job failed:\n{value}"
-                        )
-                    yield loads_payload(value)
-                    cursor += 1
-        finally:
-            # Also covers abandoned streams (caller broke out early) and
-            # failed jobs: their queue entries become no-ops.
-            coordinator.forget(job_ids)
-
-    def _client_stream(self, fn: Callable, items: list) -> Iterator:
-        """One batch through the shared cluster as a client session."""
-        session = self._ensure_client()
         tags = [
             session.submit(dumps_payload((fn, item))) for item in items
         ]

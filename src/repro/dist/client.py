@@ -1,19 +1,20 @@
-"""Client side of the session protocol: one tenant of a shared cluster.
+"""Client side of the session protocol: the one way to submit work.
 
-A :class:`ClientSession` connects to a *persistent* coordinator
-(``repro.cli serve``) the way a worker does — one TCP connection, a
-``hello``, heartbeats — but with ``role: "client"``: the coordinator
-opens a job namespace for it, schedules its ``submit`` frames fairly
-against every other session, and pushes each result back as a
-``batch_result`` the moment it lands.  Nothing about the cluster is
-owned by this process; many sessions from many machines multiplex the
-same worker fleet concurrently.
+A :class:`ClientSession` connects to a coordinator the way a worker
+does — one TCP connection, a ``hello``, heartbeats — but with
+``role: "client"``: the coordinator opens a job namespace for it,
+schedules its ``submit`` frames fairly against every other session, and
+pushes each result back as a ``batch_result`` the moment it lands.
+Many sessions from many machines multiplex the same worker fleet of a
+persistent ``repro.cli serve`` cluster; a private loopback cluster
+(:class:`~repro.dist.backend.DistributedBackend` owner mode) is driven
+through exactly the same session.
 
-The API mirrors the :class:`~repro.dist.coordinator.Coordinator` future
-store (:meth:`submit` / :meth:`wait_next` / :meth:`as_completed` /
-:meth:`cancel`), so :class:`~repro.dist.backend.DistributedBackend` can
-drive either transparently.  Job identifiers here are client-chosen
-*tags*; the coordinator maps them to its own global job ids internally.
+The API is a small future store: :meth:`submit` returns a tag,
+:meth:`wait_next` / :meth:`as_completed` yield ``(tag, outcome)`` pairs
+as results land, and :meth:`cancel` drops what is no longer wanted.
+Tags are client-chosen; the coordinator maps them to its own global job
+ids internally.
 
 Liveness is symmetric to the worker side: a heartbeat thread pings so
 the coordinator never evicts a busy session, and a receiver thread
@@ -52,7 +53,8 @@ from repro.dist.protocol import (
 )
 from repro.dist.worker import WORKER_HEARTBEAT_S, _heartbeat_loop
 
-#: Default empty-cluster grace, matching the coordinator-side value.
+#: How long a wait tolerates an empty cluster before concluding no
+#: worker will ever arrive.
 DEFAULT_WORKER_GRACE_S = 60.0
 
 #: How often a blocked wait re-probes the cluster status (worker
@@ -117,8 +119,11 @@ class ClientSession:
         self._cv = threading.Condition()
         self._stop = threading.Event()
         self._threads: list[threading.Thread] = []
-        #: tag -> ("ok", payload_bytes) | ("error", text)
-        self._outcomes: dict[int, tuple[str, object]] = {}
+        #: tag -> ("ok", payload_bytes) | ("error", text), or ``None``
+        #: while the job is outstanding.  A tag is a key from ``submit``
+        #: until ``cancel``; a result for any other tag (one that landed
+        #: after its cancel) is dropped, so abandoned batches never leak.
+        self._outcomes: dict[int, tuple[str, object] | None] = {}
         self._next_tag = 0
         self._report: dict | None = None
         self._workers_live: int | None = None
@@ -185,18 +190,22 @@ class ClientSession:
         self._stop.set()
         sock, self._sock = self._sock, None
         if sock is not None:
+            # Shutdown wakes the receiver with EOF; the fd is closed only
+            # after the service threads are gone, so none of them can
+            # select on a closed (or reused) descriptor.
             try:
                 sock.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
+        for thread in self._threads:
+            thread.join(timeout=2.0)
+        self._threads = []
+        if sock is not None:
             try:
                 sock.close()
             except OSError:
                 pass
             obs.inc("session.closed")
-        for thread in self._threads:
-            thread.join(timeout=2.0)
-        self._threads = []
 
     def __enter__(self) -> "ClientSession":
         return self.start()
@@ -204,7 +213,7 @@ class ClientSession:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- submission API (mirrors Coordinator) ---------------------------
+    # -- submission API -------------------------------------------------
 
     def submit(self, payload: bytes) -> int:
         """Enqueue one pickled job; returns its session-local tag."""
@@ -215,14 +224,21 @@ class ClientSession:
                 raise RuntimeError(self._error)
             tag = self._next_tag
             self._next_tag += 1
-        self._send({"type": MSG_SUBMIT, "job": tag}, payload)
+            self._outcomes[tag] = None
+        try:
+            self._send({"type": MSG_SUBMIT, "job": tag}, payload)
+        except BaseException:
+            with self._cv:
+                self._outcomes.pop(tag, None)
+            raise
         obs.inc("session.jobs_submitted")
         return tag
 
     def cancel(self, tags=None) -> None:
         """Cancel jobs (``None`` = all of this session's) and drop
         their outcomes — queued jobs never dispatch, leased ones run
-        out and their results are discarded server-side."""
+        out and their results are discarded on both sides.  This is
+        also how a caller forgets outcomes it has consumed."""
         header: dict = {"type": MSG_CANCEL}
         if tags is not None:
             header["jobs"] = [int(tag) for tag in tags]
@@ -253,10 +269,15 @@ class ClientSession:
     ) -> tuple[int, tuple[str, object]]:
         """Block until *one* of ``tags`` resolves; return it.
 
-        Same contract as :meth:`Coordinator.wait_next`: ``TimeoutError``
-        when ``timeout`` elapses, ``RuntimeError`` when the session
-        breaks (coordinator gone, shutdown, auth) or the cluster stays
-        empty for ``worker_grace`` seconds.
+        Returns ``(tag, outcome)`` for the first resolved tag in ``tags``
+        order, where ``outcome`` is ``("ok", payload_bytes)`` or
+        ``("error", text)``.  Raises ``TimeoutError`` when ``timeout``
+        (which may be ``0`` for a pure poll) elapses first, and
+        ``RuntimeError`` when the session breaks (coordinator gone,
+        shutdown, auth) or the cluster stays *empty* — no worker ever
+        connected, or every worker disconnected — for ``worker_grace``
+        seconds (a mis-pointed address or a fully-crashed worker fleet
+        would otherwise block forever).
         """
         tags = list(tags)
         if not tags:
@@ -273,6 +294,8 @@ class ClientSession:
                 error = self._error
                 closed = self._closed
                 workers = self._workers_live
+                seen = (self._report or {}).get("counters", {}) \
+                    .get("workers_seen", 0)
             if error is not None:
                 raise RuntimeError(error)
             if closed:
@@ -288,10 +311,11 @@ class ClientSession:
                 empty_since = now
             if empty_since is not None \
                     and now - empty_since >= worker_grace:
+                what = ("every worker disconnected from" if seen
+                        else "no worker connected to")
                 raise RuntimeError(
-                    f"no worker connected to {self.addr} for "
-                    f"{worker_grace:.0f}s with {len(tags)} jobs pending; "
-                    f"start workers with "
+                    f"{what} {self.addr} for {worker_grace:.0f}s with "
+                    f"{len(tags)} jobs pending; start workers with "
                     f"'python -m repro.cli worker --addr {self.addr}'"
                 )
             if now - last_probe >= _STATUS_PROBE_S:
@@ -379,8 +403,9 @@ class ClientSession:
                         ))
                     obs.inc("session.results_received")
                     with self._cv:
-                        self._outcomes[tag] = outcome
-                        self._cv.notify_all()
+                        if tag in self._outcomes:
+                            self._outcomes[tag] = outcome
+                            self._cv.notify_all()
                 elif kind == MSG_STATUS_REPLY:
                     report = header.get("report")
                     report = report if isinstance(report, dict) else {}

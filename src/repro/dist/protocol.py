@@ -22,13 +22,14 @@ worker → coordinator:
                 connection.  ``role: "observer"`` marks a monitoring
                 client (``repro.cli status``): it is excluded from the
                 worker count, job dispatch and heartbeat eviction.
-    ``request`` ask for a job.
+    ``request`` ask for a job; parks at the coordinator until one is
+                queued.
     ``result``  finished job (``job`` id) + pickled metrics payload.
     ``error``   job raised (``job`` id, ``error`` traceback text).
-    ``ping``    heartbeat (protocol >= 2); proves liveness mid-job.
-    ``status``  metrics snapshot (protocol >= 2), piggybacked on the
-                heartbeat cadence: ``jobs_executed`` plus ``metrics``,
-                a JSON :meth:`repro.obs.MetricsSnapshot.to_dict` —
+    ``ping``    heartbeat; proves liveness mid-job.
+    ``status``  metrics snapshot piggybacked on the heartbeat cadence:
+                ``jobs_executed`` plus ``metrics``, a JSON
+                :meth:`repro.obs.MetricsSnapshot.to_dict` —
                 counters/gauges/timers this worker has recorded.  The
                 coordinator keeps only the latest per connection.
 
@@ -41,7 +42,7 @@ client ↔ coordinator (observers):
                        lifetime counters, and the merged cluster-wide
                        metrics snapshot.
 
-client → coordinator (protocol 3 sessions):
+client → coordinator (sessions, ``role: "client"``):
     ``submit``       enqueue one job in this client's session (``job``
                      is the client-chosen tag) + pickled ``(fn, item)``.
     ``cancel``       drop queued jobs (``jobs`` lists tags, or null for
@@ -52,13 +53,13 @@ client → coordinator (protocol 3 sessions):
                      artifact) for the coordinator to fan out to every
                      worker — current and future — before it is needed.
 
-coordinator → client (protocol 3 sessions):
+coordinator → client (sessions):
     ``batch_result`` one resolved job: ``job`` tag, ``status``
                      (``"ok"`` + pickled payload, or ``"error"`` +
                      ``error`` text).  Pushed the moment the job
                      resolves; the coordinator retains nothing.
 
-auth (protocol 3, only when the coordinator holds a shared secret):
+auth (only when the coordinator holds a shared secret):
     ``auth_challenge`` first frame after accept: a ``nonce`` the peer
                        must fold into its ``hello``'s ``auth`` field
                        (HMAC-SHA256 of the nonce under the secret).
@@ -67,8 +68,6 @@ auth (protocol 3, only when the coordinator holds a shared secret):
 
 coordinator → worker:
     ``job``      a leased job (``job`` id) + pickled ``(fn, item)``.
-    ``idle``     queue empty right now; sleep briefly and re-request
-                 (protocol 1 only — v2 workers block until a ``job``).
     ``pong``     heartbeat reply; proves the coordinator is alive.
     ``shutdown`` drain and disconnect.
     ``prefetch`` a pushed trace artifact (same shape as the client
@@ -77,14 +76,18 @@ coordinator → worker:
 Versioning
 ----------
 
-``hello`` carries ``proto`` (:data:`PROTOCOL_VERSION`).  Version 1 peers
-(no ``proto`` field) poll with ``request``/``idle`` and are presumed
-alive while their TCP connection stays open; version 2 peers heartbeat
-with ``ping`` and park blocked ``request``\\ s at the coordinator until
-work arrives.  Version 3 added the session frames (``role: "client"``
-hellos, ``submit``/``batch_result``/``cancel``/``prefetch``) and the
-shared-secret challenge — all additive, so v1/v2 workers still join a
-v3 cluster (they merely never see a prefetch).
+``hello`` carries ``proto`` (:data:`PROTOCOL_VERSION`), and the
+coordinator accepts exactly that version: a ``hello`` announcing any
+other ``proto``, or any first frame that is not a ``hello``, closes the
+connection before the peer is counted or handed a job.  Every peer
+ships from this package, so there is no compatibility mode to keep.
+Frame *types* stay additive within a version: a receiver ignores a type
+it does not know.
+
+Every connection sets ``TCP_NODELAY``.  Frames are small and
+request/response shaped (``submit`` → ``job`` → ``result`` →
+``batch_result``); with Nagle's algorithm a back-to-back frame waits for
+the peer's delayed ACK, which stalls each hop by tens of milliseconds.
 """
 
 from __future__ import annotations
@@ -99,13 +102,8 @@ import socket
 import struct
 from typing import Any
 
-#: Wire protocol generation announced in ``hello`` frames.  Version 2
-#: added ``ping``/``pong`` heartbeats, blocking job requests, and the
-#: additive observability frames (``status``, ``status_request``/
-#: ``status_reply``, observer ``role``); version 3 added client
-#: sessions (``submit``/``batch_result``/``cancel``/``prefetch``) and
-#: the shared-secret challenge handshake — peers that never send the
-#: new frames interoperate unchanged.
+#: Wire protocol generation announced in ``hello`` frames; the
+#: coordinator admits only peers announcing exactly this version.
 PROTOCOL_VERSION = 3
 
 # -- frame types ---------------------------------------------------------
@@ -120,36 +118,35 @@ MSG_HELLO = "hello"
 MSG_REQUEST = "request"
 MSG_RESULT = "result"
 MSG_ERROR = "error"
-MSG_PING = "ping"                  # v2
-MSG_STATUS = "status"              # v2
-# observer <-> coordinator (v2)
+MSG_PING = "ping"
+MSG_STATUS = "status"
+# observer <-> coordinator
 MSG_STATUS_REQUEST = "status_request"
 MSG_STATUS_REPLY = "status_reply"
-# client -> coordinator (v3 sessions)
+# client -> coordinator (sessions)
 MSG_SUBMIT = "submit"
 MSG_CANCEL = "cancel"
 MSG_PREFETCH = "prefetch"          # also coordinator -> worker
-# coordinator -> client (v3 sessions)
+# coordinator -> client (sessions)
 MSG_BATCH_RESULT = "batch_result"
-# auth handshake (v3, secret-holding coordinators only)
+# auth handshake (secret-holding coordinators only)
 MSG_AUTH_CHALLENGE = "auth_challenge"
 MSG_AUTH_REJECT = "auth_reject"
 # coordinator -> worker
 MSG_JOB = "job"
-MSG_IDLE = "idle"                  # v1 polling only
-MSG_PONG = "pong"                  # v2
+MSG_PONG = "pong"
 MSG_SHUTDOWN = "shutdown"
 
-#: Registry of every frame type any protocol generation may carry.
-#: The protocol is *additive*: an unknown type from a newer peer is
-#: ignored, never an error — but everything this codebase sends or
-#: dispatches on must be enumerated here.
+#: Registry of every frame type the protocol carries.  Frame types are
+#: *additive*: an unknown type is ignored, never an error — but
+#: everything this codebase sends or dispatches on must be enumerated
+#: here.
 FRAME_TYPES = frozenset({
     MSG_HELLO, MSG_REQUEST, MSG_RESULT, MSG_ERROR, MSG_PING, MSG_STATUS,
     MSG_STATUS_REQUEST, MSG_STATUS_REPLY,
     MSG_SUBMIT, MSG_CANCEL, MSG_PREFETCH, MSG_BATCH_RESULT,
     MSG_AUTH_CHALLENGE, MSG_AUTH_REJECT,
-    MSG_JOB, MSG_IDLE, MSG_PONG, MSG_SHUTDOWN,
+    MSG_JOB, MSG_PONG, MSG_SHUTDOWN,
 })
 
 #: (header length, payload length) frame prefix.
@@ -256,9 +253,14 @@ def format_addr(host: str, port: int) -> str:
     return f"{host}:{port}"
 
 
+def set_nodelay(sock: socket.socket) -> None:
+    """Disable Nagle's algorithm on a protocol connection."""
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
 def connect(addr: str, timeout: float | None = None,
             retry_for: float = 0.0) -> socket.socket:
-    """Open a worker connection to the coordinator at ``addr``.
+    """Open a ``TCP_NODELAY`` connection to the coordinator at ``addr``.
 
     ``retry_for`` keeps retrying refused connections for that many
     seconds — workers routinely start before the coordinator binds.
@@ -271,6 +273,7 @@ def connect(addr: str, timeout: float | None = None,
         try:
             sock = socket.create_connection((host, port), timeout=timeout)
             sock.settimeout(None)
+            set_nodelay(sock)
             return sock
         except OSError:
             if time.monotonic() >= deadline:
@@ -278,7 +281,7 @@ def connect(addr: str, timeout: float | None = None,
             time.sleep(0.05)
 
 
-# -- shared-secret auth (protocol 3) --------------------------------------
+# -- shared-secret auth ----------------------------------------------------
 #
 # A coordinator serving an untrusted interface holds a shared secret.
 # On accept it sends ``auth_challenge`` with a fresh nonce; the peer's

@@ -1,12 +1,14 @@
 """DistributedBackend tests: ordering, reuse, errors, bit-identity."""
 
 import threading
+import time
 
 import pytest
 
 from repro.codegen.wrapper import GenerationOptions
 from repro.core.platform import PerformancePlatform
 from repro.dist.backend import DistributedBackend
+from repro.dist.client import ClientSession
 from repro.dist.coordinator import Coordinator
 from repro.dist.protocol import dumps_payload, loads_payload
 from repro.dist.worker import run_worker
@@ -132,6 +134,17 @@ class TestDistributedBackend:
             backend.map(_square, [1])
         backend.close()
 
+    def test_owner_mode_holds_the_env_secret(self, monkeypatch):
+        # Every owner-mode peer (local workers, the backend's session)
+        # holds $REPRO_DIST_SECRET, so the private coordinator must hold
+        # it too: otherwise each peer waits out the challenge it expects
+        # and the cluster starts seconds late.
+        monkeypatch.setenv("REPRO_DIST_SECRET", "owner-secret")
+        with DistributedBackend(spawn_workers=1) as backend:
+            assert backend.map(_square, [6]) == [36]
+            assert backend.coordinator.secret == "owner-secret"
+            assert backend.coordinator.auth_rejections == 0
+
     def test_implicit_addr_degrades_to_serial_on_bind_failure(self):
         backend = DistributedBackend(spawn_workers=1)
         backend._broken = True  # simulate an unbindable sandbox
@@ -153,41 +166,54 @@ class TestBitIdentity:
         assert parallel == serial
 
 
+def _wait(session, tags, timeout=None, worker_grace=60.0):
+    """Every outcome of ``tags``, in ``tags`` order."""
+    landed = dict(session.as_completed(tags, timeout=timeout,
+                                       worker_grace=worker_grace))
+    return [landed[tag] for tag in tags]
+
+
 class TestCoordinator:
     def test_submit_wait_roundtrip(self):
         coordinator = Coordinator()
         addr = coordinator.start()
+        session = ClientSession(addr).start()
         worker = threading.Thread(target=run_worker, args=(addr,),
                                   daemon=True)
         worker.start()
         try:
-            ids = [coordinator.submit(dumps_payload((_square, n)))
+            ids = [session.submit(dumps_payload((_square, n)))
                    for n in range(4)]
-            outcomes = coordinator.wait(ids, timeout=20)
+            outcomes = _wait(session, ids, timeout=20)
             assert [loads_payload(v) for _, v in outcomes] == [0, 1, 4, 9]
             assert all(status == "ok" for status, _ in outcomes)
         finally:
+            session.close()
             coordinator.shutdown()
             worker.join(timeout=5)
 
     def test_wait_times_out(self):
         coordinator = Coordinator()
-        coordinator.start()
+        addr = coordinator.start()
+        session = ClientSession(addr).start()
         try:
-            job = coordinator.submit(dumps_payload((_square, 2)))
+            job = session.submit(dumps_payload((_square, 2)))
             with pytest.raises(TimeoutError):
-                coordinator.wait([job], timeout=0.2, worker_grace=60.0)
+                _wait(session, [job], timeout=0.2, worker_grace=60.0)
         finally:
+            session.close()
             coordinator.shutdown()
 
     def test_empty_cluster_fails_after_grace(self):
         coordinator = Coordinator()
-        coordinator.start()
+        addr = coordinator.start()
+        session = ClientSession(addr).start()
         try:
-            job = coordinator.submit(dumps_payload((_square, 2)))
+            job = session.submit(dumps_payload((_square, 2)))
             with pytest.raises(RuntimeError, match="no worker connected"):
-                coordinator.wait([job], worker_grace=0.2)
+                _wait(session, [job], worker_grace=0.2)
         finally:
+            session.close()
             coordinator.shutdown()
 
     def test_fully_crashed_fleet_fails_after_grace(self):
@@ -195,47 +221,65 @@ class TestCoordinator:
         # the grace timer re-arms when the connection count hits zero.
         coordinator = Coordinator()
         addr = coordinator.start()
+        session = ClientSession(addr).start()
         worker = threading.Thread(
             target=run_worker, args=(addr,), kwargs={"max_jobs": 1},
             daemon=True,
         )
         worker.start()
         try:
-            first = coordinator.submit(dumps_payload((_square, 3)))
-            (status, payload), = coordinator.wait([first], timeout=20)
+            first = session.submit(dumps_payload((_square, 3)))
+            (status, payload), = _wait(session, [first], timeout=20)
             assert loads_payload(payload) == 9
             worker.join(timeout=10)  # max_jobs reached: worker leaves
-            orphan = coordinator.submit(dumps_payload((_square, 4)))
+            orphan = session.submit(dumps_payload((_square, 4)))
             with pytest.raises(RuntimeError,
                                match="every worker disconnected"):
-                coordinator.wait([orphan], worker_grace=0.3)
+                _wait(session, [orphan], worker_grace=0.3)
         finally:
+            session.close()
             coordinator.shutdown()
 
     def test_submit_after_shutdown_rejected(self):
         coordinator = Coordinator()
-        coordinator.start()
-        coordinator.shutdown()
-        with pytest.raises(RuntimeError):
-            coordinator.submit(b"x")
+        addr = coordinator.start()
+        session = ClientSession(addr).start()
+        try:
+            job = session.submit(dumps_payload((_square, 2)))
+            coordinator.shutdown()
+            # The pending wait fails loudly instead of hanging...
+            with pytest.raises(RuntimeError, match="lost|shut down"):
+                _wait(session, [job], timeout=10)
+            # ...and the broken session refuses further work.
+            with pytest.raises(RuntimeError):
+                session.submit(b"x")
+        finally:
+            session.close()
 
-    def test_forgotten_jobs_do_not_poison_workers(self):
-        # An abandoned batch (wait timed out, caller forgot the jobs)
+    def test_cancelled_jobs_do_not_poison_workers(self):
+        # An abandoned batch (wait timed out, caller cancelled the jobs)
         # leaves stale ids in the queue; a worker requesting afterwards
         # must skip them and keep serving, not lose its connection.
         coordinator = Coordinator()
         addr = coordinator.start()
-        stale = [coordinator.submit(dumps_payload((_square, n)))
+        session = ClientSession(addr).start()
+        stale = [session.submit(dumps_payload((_square, n)))
                  for n in range(3)]
-        coordinator.forget(stale)
+        session.cancel(stale)
+        deadline = time.monotonic() + 10
+        while coordinator.jobs_cancelled < 3:
+            assert time.monotonic() < deadline, "cancel never landed"
+            time.sleep(0.01)
         worker = threading.Thread(target=run_worker, args=(addr,),
                                   daemon=True)
         worker.start()
         try:
-            live = coordinator.submit(dumps_payload((_square, 9)))
-            (status, payload), = coordinator.wait([live], timeout=20)
+            live = session.submit(dumps_payload((_square, 9)))
+            (status, payload), = _wait(session, [live], timeout=20)
             assert status == "ok"
             assert loads_payload(payload) == 81
+            assert coordinator.status_report()["pending"] == 0
         finally:
+            session.close()
             coordinator.shutdown()
             worker.join(timeout=5)

@@ -75,8 +75,8 @@ class TestWorkerDeathMidBatch:
         import pytest
 
         with DistributedBackend(spawn_workers=2) as backend:
-            coordinator = backend._ensure_started()
-            assert coordinator is not None
+            assert backend._ensure_session() is not None
+            coordinator = backend.coordinator
             coordinator.max_attempts = 2
             with pytest.raises(RuntimeError, match="lost 2 workers"):
                 backend.map(_die_always, [0])

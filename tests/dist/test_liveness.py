@@ -13,6 +13,12 @@ The hang is simulated with :class:`_FakeWorker` — a raw protocol client
 the test fully controls — rather than by poking a real worker's
 internals: it says hello, takes a job, and then simply goes silent while
 holding its socket open, exactly like a worker stuck in a syscall.
+
+Work is submitted the only way the coordinator accepts it, through a
+:class:`~repro.dist.client.ClientSession`.  With one session, its tags
+and the coordinator's global job ids coincide (both count from 0 in
+submission order), which is what lets a fake worker's job id be
+compared with a tag.
 """
 
 import threading
@@ -21,6 +27,7 @@ import time
 import pytest
 
 from repro.codegen.wrapper import GenerationOptions, generate_test_case
+from repro.dist.client import ClientSession
 from repro.dist.coordinator import Coordinator
 from repro.dist.protocol import (
     PROTOCOL_VERSION,
@@ -52,15 +59,26 @@ CONFIGS = [
 ]
 
 
+def _wait(session, tags, timeout):
+    """Every outcome of ``tags``, in ``tags`` order."""
+    landed = dict(session.as_completed(tags, timeout=timeout))
+    return [landed[tag] for tag in tags]
+
+
+def _wait_for(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
+
+
 class _FakeWorker:
     """A raw protocol client standing in for a worker under test control."""
 
     def __init__(self, addr: str, proto: int = PROTOCOL_VERSION,
                  name: str = "fake", heartbeat_s: float | None = None):
         self.sock = connect(addr)
-        hello = {"type": "hello", "worker": name}
-        if proto >= 2:
-            hello["proto"] = proto
+        hello = {"type": "hello", "worker": name, "proto": proto}
         if heartbeat_s is not None:
             hello["heartbeat"] = heartbeat_s
         send_msg(self.sock, hello)
@@ -96,10 +114,11 @@ class TestHungWorkerChaos:
         coordinator = Coordinator(lease_timeout_s=1.0,
                                   heartbeat_timeout_s=30.0)
         addr = coordinator.start()
+        session = ClientSession(addr).start()
         hung = None
         worker = None
         try:
-            job_ids = [coordinator.submit(dumps_payload((_simulate, c)))
+            job_ids = [session.submit(dumps_payload((_simulate, c)))
                        for c in CONFIGS]
             # The hung worker grabs the first job, then goes silent with
             # its socket wide open — no EOF will ever arrive.
@@ -111,7 +130,7 @@ class TestHungWorkerChaos:
                 kwargs={"name": "live", "heartbeat_s": 0.2}, daemon=True,
             )
             worker.start()
-            outcomes = coordinator.wait(job_ids, timeout=90)
+            outcomes = _wait(session, job_ids, timeout=90)
             assert all(status == "ok" for status, _ in outcomes)
             stats = [loads_payload(value) for _, value in outcomes]
             assert stats == serial_stats  # bit-identical, SimStats and all
@@ -122,6 +141,7 @@ class TestHungWorkerChaos:
         finally:
             if hung is not None:
                 hung.close()
+            session.close()
             coordinator.shutdown()
             if worker is not None:
                 worker.join(timeout=5)
@@ -132,10 +152,11 @@ class TestHungWorkerChaos:
         coordinator = Coordinator(lease_timeout_s=None,
                                   heartbeat_timeout_s=0.5)
         addr = coordinator.start()
+        session = ClientSession(addr, heartbeat_s=0.1).start()
         hung = None
         worker = None
         try:
-            job_id = coordinator.submit(dumps_payload((_square, 7)))
+            job_id = session.submit(dumps_payload((_square, 7)))
             hung = _FakeWorker(addr, name="silent")
             taken, _ = hung.take_job()
             assert taken == job_id
@@ -144,7 +165,7 @@ class TestHungWorkerChaos:
                 kwargs={"name": "live", "heartbeat_s": 0.1}, daemon=True,
             )
             worker.start()
-            (status, value), = coordinator.wait([job_id], timeout=30)
+            (status, value), = _wait(session, [job_id], timeout=30)
             assert status == "ok"
             assert loads_payload(value) == 49
             assert coordinator.evictions >= 1
@@ -154,6 +175,7 @@ class TestHungWorkerChaos:
         finally:
             if hung is not None:
                 hung.close()
+            session.close()
             coordinator.shutdown()
             if worker is not None:
                 worker.join(timeout=5)
@@ -183,9 +205,10 @@ class TestHungWorkerChaos:
 
 
 class TestBlockingRequests:
-    def test_v2_request_blocks_until_work_is_submitted(self):
+    def test_request_blocks_until_work_is_submitted(self):
         coordinator = Coordinator()
         addr = coordinator.start()
+        session = ClientSession(addr).start()
         fake = None
         try:
             fake = _FakeWorker(addr)
@@ -194,31 +217,50 @@ class TestBlockingRequests:
             # arrives (heartbeat pings would keep the link alive).
             with pytest.raises(ReceiveTimeout):
                 fake.recv(timeout=0.4)
-            job_id = coordinator.submit(dumps_payload((_square, 3)))
+            job_id = session.submit(dumps_payload((_square, 3)))
             header, payload = fake.recv(timeout=10)
             assert header["type"] == "job" and header["job"] == job_id
             fake.send_result(job_id, 9)
-            (status, value), = coordinator.wait([job_id], timeout=10)
+            (status, value), = _wait(session, [job_id], timeout=10)
             assert (status, loads_payload(value)) == ("ok", 9)
         finally:
             if fake is not None:
                 fake.close()
+            session.close()
             coordinator.shutdown()
 
-    def test_v1_worker_still_gets_an_idle_reply(self):
-        # Backward compatibility: a version-1 worker polls and expects
-        # an immediate answer when the queue is empty.
+    def test_stale_protocol_and_pre_hello_peers_are_disconnected(self):
+        # Only a hello announcing PROTOCOL_VERSION admits a peer: an
+        # older-protocol hello, or any other first frame, closes the
+        # connection before the peer is counted or handed a job.
         coordinator = Coordinator()
         addr = coordinator.start()
-        fake = None
+        session = ClientSession(addr).start()
+        stale = early = fake = None
         try:
-            fake = _FakeWorker(addr, proto=1)
-            fake.request()
-            header, _ = fake.recv(timeout=10)
-            assert header["type"] == "idle"
+            job_id = session.submit(dumps_payload((_square, 5)))
+            _wait_for(lambda: coordinator.status_report()["pending"] == 1)
+            stale = _FakeWorker(addr, proto=PROTOCOL_VERSION - 1)
+            stale.request()
+            early = connect(addr)
+            send_msg(early, {"type": "request"})  # no hello at all
+            for sock in (stale.sock, early):
+                with pytest.raises((ConnectionError, OSError)):
+                    recv_msg(sock, timeout=10)  # EOF, never a job
+            assert coordinator.worker_count() == 0
+            assert coordinator.workers_seen == 0
+            # The job is still queued: an admitted worker gets it.
+            fake = _FakeWorker(addr)
+            taken, _ = fake.take_job()
+            assert taken == job_id
+            assert coordinator.workers_seen == 1
         finally:
-            if fake is not None:
-                fake.close()
+            for peer in (stale, fake):
+                if peer is not None:
+                    peer.close()
+            if early is not None:
+                early.close()
+            session.close()
             coordinator.shutdown()
 
     def test_ping_gets_pong(self):
@@ -241,64 +283,76 @@ class TestWaitAccounting:
         # Regression: ``timeout=0`` used to be treated as "no timeout"
         # (falsy), turning a poll into an indefinite block.
         coordinator = Coordinator()
-        coordinator.start()
+        addr = coordinator.start()
+        session = ClientSession(addr).start()
         try:
-            job_id = coordinator.submit(dumps_payload((_square, 2)))
+            job_id = session.submit(dumps_payload((_square, 2)))
             start = time.monotonic()
             with pytest.raises(TimeoutError):
-                coordinator.wait([job_id], timeout=0)
+                session.wait_next([job_id], timeout=0)
             assert time.monotonic() - start < 2.0
         finally:
+            session.close()
             coordinator.shutdown()
 
     def test_wait_timeout_zero_returns_resolved_results(self):
         coordinator = Coordinator()
         addr = coordinator.start()
+        session = ClientSession(addr).start()
         fake = None
         try:
-            job_id = coordinator.submit(dumps_payload((_square, 4)))
+            job_id = session.submit(dumps_payload((_square, 4)))
             fake = _FakeWorker(addr)
             taken, _ = fake.take_job()
             fake.send_result(taken, 16)
             deadline = time.monotonic() + 10
-            while True:  # poll until the serve thread lands the result
+            while True:  # poll until the pushed result lands
                 try:
-                    (status, value), = coordinator.wait([job_id], timeout=0)
+                    landed, (status, value) = session.wait_next(
+                        [job_id], timeout=0
+                    )
                     break
                 except TimeoutError:
                     assert time.monotonic() < deadline
                     time.sleep(0.01)
+            assert landed == job_id
             assert (status, loads_payload(value)) == ("ok", 16)
         finally:
             if fake is not None:
                 fake.close()
+            session.close()
             coordinator.shutdown()
 
     def test_late_result_for_forgotten_job_is_dropped(self):
-        # An abandoned batch's job id must not re-enter the result store
+        # An abandoned batch's job must not re-enter any result store
         # (it would leak forever: no caller is left to forget it again).
         coordinator = Coordinator()
         addr = coordinator.start()
+        session = ClientSession(addr).start()
         fake = None
         try:
             fake = _FakeWorker(addr)
-            stale = coordinator.submit(dumps_payload((_square, 5)))
+            stale = session.submit(dumps_payload((_square, 5)))
             taken, _ = fake.take_job()
             assert taken == stale
-            coordinator.forget([stale])
+            session.cancel([stale])
+            _wait_for(lambda: coordinator.jobs_cancelled == 1)
             fake.send_result(stale, 25)  # too late: already abandoned
             # A follow-up job proves the stale frame was processed first
             # (frames on one connection are handled in order).
-            live = coordinator.submit(dumps_payload((_square, 6)))
+            live = session.submit(dumps_payload((_square, 6)))
             taken, _ = fake.take_job()
             fake.send_result(taken, 36)
-            (status, value), = coordinator.wait([live], timeout=10)
+            (status, value), = _wait(session, [live], timeout=10)
             assert (status, loads_payload(value)) == ("ok", 36)
-            assert stale not in coordinator._results
+            assert stale not in session._outcomes
+            with coordinator._cv:
+                assert stale not in coordinator._jobs
             assert coordinator.jobs_completed == 1  # the live job only
         finally:
             if fake is not None:
                 fake.close()
+            session.close()
             coordinator.shutdown()
 
     def test_duplicate_resolution_counts_and_stores_once(self):
@@ -307,9 +361,10 @@ class TestWaitAccounting:
         coordinator = Coordinator(lease_timeout_s=0.3,
                                   heartbeat_timeout_s=None)
         addr = coordinator.start()
+        session = ClientSession(addr).start()
         slow = fast = None
         try:
-            job_id = coordinator.submit(dumps_payload((_square, 9)))
+            job_id = session.submit(dumps_payload((_square, 9)))
             slow = _FakeWorker(addr, name="slow")
             taken, _ = slow.take_job()
             assert taken == job_id
@@ -318,23 +373,24 @@ class TestWaitAccounting:
             rerun, _ = fast.take_job(timeout=10)
             assert rerun == job_id
             fast.send_result(job_id, 81)
-            (status, value), = coordinator.wait([job_id], timeout=10)
+            (status, value), = _wait(session, [job_id], timeout=10)
             assert (status, loads_payload(value)) == ("ok", 81)
             assert coordinator.jobs_completed == 1
             slow.send_result(job_id, 81)  # the original, finally done
             # Flush: a second job round-trip on the slow connection
             # proves the duplicate result frame has been processed.
-            flush = coordinator.submit(dumps_payload((_square, 3)))
+            flush = session.submit(dumps_payload((_square, 3)))
             taken, _ = slow.take_job(timeout=10)
             assert taken == flush
             slow.send_result(flush, 9)
-            coordinator.wait([flush], timeout=10)
+            _wait(session, [flush], timeout=10)
             assert coordinator.jobs_completed == 2  # not 3
             assert coordinator.lease_expiries == 1
         finally:
             for worker in (slow, fast):
                 if worker is not None:
                     worker.close()
+            session.close()
             coordinator.shutdown()
 
 
@@ -342,9 +398,10 @@ class TestStreamingWaits:
     def test_as_completed_yields_in_landing_order(self):
         coordinator = Coordinator()
         addr = coordinator.start()
+        session = ClientSession(addr).start()
         fake = None
         try:
-            ids = [coordinator.submit(dumps_payload((_square, n)))
+            ids = [session.submit(dumps_payload((_square, n)))
                    for n in range(3)]
             fake = _FakeWorker(addr)
             # Finish them out of submission order: 2, 0, 1.
@@ -354,23 +411,26 @@ class TestStreamingWaits:
                 held[job_id] = job_id
             for job_id in (ids[2], ids[0], ids[1]):
                 fake.send_result(job_id, job_id * 100)
-                landed, (status, value) = coordinator.wait_next(
+                landed, (status, value) = session.wait_next(
                     [job_id], timeout=10
                 )
                 assert landed == job_id
             order = [job_id for job_id, _ in
-                     coordinator.as_completed(ids, timeout=10)]
+                     session.as_completed(ids, timeout=10)]
             assert sorted(order) == sorted(ids)  # all there, yielded once
         finally:
             if fake is not None:
                 fake.close()
+            session.close()
             coordinator.shutdown()
 
     def test_wait_next_empty_ids_rejected(self):
         coordinator = Coordinator()
-        coordinator.start()
+        addr = coordinator.start()
+        session = ClientSession(addr).start()
         try:
             with pytest.raises(ValueError):
-                coordinator.wait_next([])
+                session.wait_next([])
         finally:
+            session.close()
             coordinator.shutdown()

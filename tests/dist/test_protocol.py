@@ -2,11 +2,13 @@
 
 import socket
 import threading
+import time
 
 import pytest
 
 from repro.dist.protocol import (
     ProtocolError,
+    connect,
     dumps_payload,
     format_addr,
     loads_payload,
@@ -122,3 +124,32 @@ class TestAddresses:
     def test_malformed_rejected(self, bad):
         with pytest.raises(ValueError):
             parse_addr(bad)
+
+
+class TestNoDelay:
+    def test_both_ends_of_a_connection_disable_nagle(self):
+        # Frames are small and request/response shaped; with Nagle's
+        # algorithm a back-to-back frame waits out the peer's delayed
+        # ACK on every hop.
+        from repro.dist.coordinator import Coordinator
+
+        coordinator = Coordinator()
+        addr = coordinator.start()
+        sock = None
+        try:
+            sock = connect(addr)
+            assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            deadline = time.monotonic() + 10
+            while True:
+                with coordinator._cv:
+                    accepted = [c.sock for c in coordinator._connections]
+                if accepted or time.monotonic() > deadline:
+                    break
+                time.sleep(0.01)
+            assert len(accepted) == 1
+            assert accepted[0].getsockopt(socket.IPPROTO_TCP,
+                                          socket.TCP_NODELAY)
+        finally:
+            if sock is not None:
+                sock.close()
+            coordinator.shutdown()

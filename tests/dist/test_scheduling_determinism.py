@@ -10,18 +10,33 @@ never set order.
 
 import socket
 
-from repro.dist.coordinator import Coordinator, _Connection
+from repro.dist.client import ClientSession
+from repro.dist.coordinator import Coordinator, _Connection, _Job, _Session
 from repro.dist.protocol import FRAME_TYPES, MSG_JOB, PROTOCOL_VERSION
 
 
-def _fake_connection(seq: int) -> _Connection:
+def _fake_connection(seq: int, role: str = "worker") -> _Connection:
     # A real (unconnected) socket object so the dataclass stays honest;
     # nothing is ever sent through it in these tests.
     conn = _Connection(sock=socket.socket(), peer=f"peer-{seq}")
     conn.seq = seq
-    conn.proto = 2
+    conn.role = role
     conn.hungry = True
     return conn
+
+
+def _queue_jobs(coordinator, n_jobs):
+    """Queue ``n_jobs`` on a fake client session (caller holds _cv)."""
+    client = _fake_connection(-1, role="client")
+    session = _Session(id=1, conn=client)
+    coordinator._sessions[session.id] = session
+    for _ in range(n_jobs):
+        job_id = coordinator._next_id
+        coordinator._next_id += 1
+        coordinator._jobs[job_id] = _Job(id=job_id, payload=b"",
+                                         session=session.id, tag=job_id)
+        session.queue.append(job_id)
+    return client
 
 
 class TestDispatchOrder:
@@ -32,33 +47,24 @@ class TestDispatchOrder:
         conns = {seq: _fake_connection(seq) for seq in (3, 0, 2, 1)}
         with coordinator._cv:
             coordinator._connections.update(conns.values())
-            for _ in range(4):
-                job_id = coordinator._next_id
-                coordinator._next_id += 1
-                from repro.dist.coordinator import _Job
-                coordinator._jobs[job_id] = _Job(id=job_id, payload=b"")
-                coordinator._sessions[0].queue.append(job_id)
+            client = _queue_jobs(coordinator, 4)
             sends = coordinator._dispatch_locked()
         assert [conn.seq for conn, _header, _payload in sends] == [0, 1, 2, 3]
         assert all(header["type"] == MSG_JOB for _c, header, _p in sends)
-        for conn in conns.values():
+        for conn in [*conns.values(), client]:
             conn.sock.close()
 
     def test_observers_never_receive_jobs(self):
         coordinator = Coordinator()
         worker = _fake_connection(1)
-        observer = _fake_connection(0)
-        observer.role = "observer"
+        observer = _fake_connection(0, role="observer")
         with coordinator._cv:
             coordinator._connections.update({worker, observer})
-            from repro.dist.coordinator import _Job
-            coordinator._jobs[0] = _Job(id=0, payload=b"")
-            coordinator._sessions[0].queue.append(0)
-            coordinator._next_id = 1
+            client = _queue_jobs(coordinator, 1)
             sends = coordinator._dispatch_locked()
         assert [conn.seq for conn, _h, _p in sends] == [1]
-        worker.sock.close()
-        observer.sock.close()
+        for conn in (worker, observer, client):
+            conn.sock.close()
 
     def test_accept_seq_increments_monotonically(self):
         coordinator = Coordinator()
@@ -104,20 +110,25 @@ class TestFrameTypeRegistry:
         from repro.dist.protocol import recv_msg, send_msg
 
         coordinator = Coordinator()
+        session = None
         try:
-            coordinator.start()
+            addr = coordinator.start()
             sock = socket.create_connection(
                 ("127.0.0.1", coordinator.port), timeout=5.0)
-            send_msg(sock, {"type": "hello", "proto": 2, "name": "t"})
+            send_msg(sock, {"type": "hello", "proto": PROTOCOL_VERSION,
+                            "name": "t"})
             send_msg(sock, {"type": "frame-from-the-future", "x": 1})
             time.sleep(0.1)
             # The connection survived the unknown frame: a known
             # request/response still round-trips on the same socket.
-            job = coordinator.submit(pickle.dumps((None, None)))
+            session = ClientSession(addr).start()
+            job = session.submit(pickle.dumps((None, None)))
             send_msg(sock, {"type": "request"})
             header, payload = recv_msg(sock)
             assert header["type"] == "job"
             assert header["job"] == job
             sock.close()
         finally:
+            if session is not None:
+                session.close()
             coordinator.shutdown()

@@ -60,8 +60,13 @@ def _collect(session, tags, timeout=30):
 
 
 def _seed_session(coordinator, sid, n_jobs, priority=1.0):
-    """Install a fake client session with ``n_jobs`` queued (lock held)."""
-    session = _Session(id=sid, name=f"s{sid}", priority=priority)
+    """Install a fake client session with ``n_jobs`` queued (lock held).
+
+    Scheduler-only: nothing is ever sent, so the session owns no
+    connection.
+    """
+    session = _Session(id=sid, conn=None, name=f"s{sid}",
+                       priority=priority)
     coordinator._sessions[sid] = session
     for _ in range(n_jobs):
         job_id = coordinator._next_id

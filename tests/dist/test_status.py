@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from repro.dist.client import ClientSession
 from repro.dist.coordinator import Coordinator
 from repro.dist.protocol import (
     PROTOCOL_VERSION,
@@ -22,23 +23,25 @@ def _square(x):
     return x * x
 
 
-def _run_jobs(coordinator, addr, count=3, heartbeat_s=0.2):
-    """Submit ``count`` jobs and drain them with one real worker.
+def _run_jobs(addr, count=3, heartbeat_s=0.2):
+    """Submit ``count`` jobs through a session, drain them with one
+    real worker, and close the session.
 
     The worker stays connected (idle) after the batch so status tests
     can inspect its row; call the returned ``stop()`` to drain it.
     """
-    job_ids = [coordinator.submit(dumps_payload((_square, n)))
-               for n in range(count)]
-    stop = threading.Event()
-    worker = threading.Thread(
-        target=run_worker, args=(addr,),
-        kwargs={"name": "w1", "heartbeat_s": heartbeat_s, "stop": stop},
-        daemon=True,
-    )
-    worker.start()
-    outcomes = coordinator.wait(job_ids, timeout=60)
-    assert all(status == "ok" for status, _ in outcomes)
+    with ClientSession(addr) as session:
+        job_ids = [session.submit(dumps_payload((_square, n)))
+                   for n in range(count)]
+        stop = threading.Event()
+        worker = threading.Thread(
+            target=run_worker, args=(addr,),
+            kwargs={"name": "w1", "heartbeat_s": heartbeat_s, "stop": stop},
+            daemon=True,
+        )
+        worker.start()
+        outcomes = dict(session.as_completed(job_ids, timeout=60))
+    assert all(status == "ok" for status, _ in outcomes.values())
 
     def stopper():
         stop.set()
@@ -53,7 +56,7 @@ class TestStatusReport:
         addr = coordinator.start()
         stop_worker = None
         try:
-            stop_worker = _run_jobs(coordinator, addr, count=3)
+            stop_worker = _run_jobs(addr, count=3)
             deadline = time.monotonic() + 10
             while time.monotonic() < deadline:
                 report = coordinator.status_report()
@@ -79,7 +82,7 @@ class TestStatusReport:
         addr = coordinator.start()
         stop_worker = None
         try:
-            stop_worker = _run_jobs(coordinator, addr, count=2)
+            stop_worker = _run_jobs(addr, count=2)
             deadline = time.monotonic() + 10
             merged = {}
             while time.monotonic() < deadline:
@@ -128,7 +131,7 @@ class TestObserverRole:
             send_msg(sock, {"type": "hello", "worker": "watcher",
                             "proto": PROTOCOL_VERSION, "heartbeat": 0,
                             "role": "observer"})
-            stop_worker = _run_jobs(coordinator, addr, count=2)
+            stop_worker = _run_jobs(addr, count=2)
             # All jobs resolved by the real worker; the observer socket
             # must have seen no job frames (nothing to read but our own
             # replies — there were no requests, so nothing at all).
@@ -152,7 +155,7 @@ class TestFetchClusterStatus:
         addr = coordinator.start()
         stop_worker = None
         try:
-            stop_worker = _run_jobs(coordinator, addr, count=3)
+            stop_worker = _run_jobs(addr, count=3)
             report = fetch_cluster_status(addr, timeout=10)
             assert report["addr"] == addr
             assert report["counters"]["jobs_completed"] == 3

@@ -106,11 +106,21 @@ class TestIncrementality:
             assert next(stream) == 0
             stream.close()  # abandon mid-stream
             coordinator = backend.coordinator
+            session = backend.client
+            # The cancel frame is asynchronous: poll both stores.
+
+            def leftovers():
+                with coordinator._cv:
+                    jobs = len(coordinator._jobs)
+                with session._cv:
+                    return jobs + len(session._outcomes)
+
             deadline = time.monotonic() + 10
-            while coordinator._results and time.monotonic() < deadline:
+            while leftovers() and time.monotonic() < deadline:
                 time.sleep(0.01)
-            assert not coordinator._results  # nothing leaks
-            assert not coordinator._jobs
+            assert not session._outcomes  # nothing leaks
+            with coordinator._cv:
+                assert not coordinator._jobs
 
 
 class TestStreamingEvaluation:
